@@ -82,6 +82,7 @@ type DB struct {
 	l1       *table
 	nextTbl  int
 	stats    Stats
+	getBuf   []byte // read window reused by every table lookup
 }
 
 // Open creates or recovers a store in opts.Dir.
@@ -254,8 +255,11 @@ func (db *DB) Get(key string) ([]byte, error) {
 		}
 		return v, nil
 	}
+	if db.getBuf == nil {
+		db.getBuf = make([]byte, getWindow)
+	}
 	for _, t := range db.l0 {
-		if v, ok, err := t.get(key); err != nil {
+		if v, ok, err := t.get(key, db.getBuf); err != nil {
 			return nil, err
 		} else if ok {
 			if bytes.Equal(v, tombstone) {
@@ -265,7 +269,7 @@ func (db *DB) Get(key string) ([]byte, error) {
 		}
 	}
 	if db.l1 != nil {
-		if v, ok, err := db.l1.get(key); err != nil {
+		if v, ok, err := db.l1.get(key, db.getBuf); err != nil {
 			return nil, err
 		} else if ok {
 			if bytes.Equal(v, tombstone) {

@@ -136,12 +136,15 @@ func (t *table) seekOff(key string) int64 {
 	return t.index[lo-1].off
 }
 
+// getWindow is the read window of a point lookup; records are small
+// relative to the index stride.
+const getWindow = 32 << 10
+
 // get performs a point lookup: index seek + bounded sequential record
-// scan.
-func (t *table) get(key string) ([]byte, bool, error) {
+// scan, reading getWindow bytes at a time into buf. The result never
+// aliases buf, so callers reuse one buffer across lookups.
+func (t *table) get(key string, buf []byte) ([]byte, bool, error) {
 	off := t.seekOff(key)
-	// Read a window; records are small relative to the index stride.
-	buf := make([]byte, 32<<10)
 	for off < t.size {
 		n, err := t.f.ReadAt(buf, off)
 		if err != nil && err != io.EOF && n == 0 {

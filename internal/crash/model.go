@@ -62,8 +62,9 @@ type mstate struct {
 	dirs  map[string]bool
 	// commitFloor is the syscall index of the last operation that is
 	// guaranteed to have committed the running journal transaction (any
-	// relink: fsync/close with staged data, truncate, rename flush). In
-	// POSIX mode the durable namespace can never be older than this.
+	// relink: fsync/close with staged data, truncate, rename flush; and
+	// in POSIX mode every SyncAll). In POSIX mode the durable namespace
+	// can never be older than this.
 	commitFloor int
 }
 
@@ -269,6 +270,12 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 			sort.Strings(paths)
 			for _, p := range paths {
 				st.files[p] = relinked(st, ids, st.files[p], sysIdx)
+			}
+			// POSIX-mode SyncAll also commits the running transaction, so
+			// the namespace is durable as of the barrier even when nothing
+			// was staged.
+			if mode == splitfs.POSIX && sysIdx-1 > st.commitFloor {
+				st.commitFloor = sysIdx - 1
 			}
 		}
 		m.states = append(m.states, st)

@@ -254,3 +254,50 @@ func TestServedMinimizeRejectsHealthy(t *testing.T) {
 		t.Fatal("expected error for a non-violating served campaign")
 	}
 }
+
+// TestServedPOSIXBarrierCoversNamespace pins the root cause of a POSIX
+// served-sweep flake deterministically: one tenant renames a file no
+// handle holds open, passes a SyncAll barrier with nothing staged, and
+// the daemon dies at every later event. The resumable client drops the
+// rename from its replay log once the barrier is acknowledged, so the
+// barrier itself must have made the rename durable; otherwise the old
+// name comes back and the final state diverges after resume. With a
+// single tenant no other session's staged data can commit the rename by
+// accident, which is what made the sweep pass most of the time.
+func TestServedPOSIXBarrierCoversNamespace(t *testing.T) {
+	ops := [][]Op{{
+		{Kind: OpCreate, Path: "/s0", Close: true},
+		{Kind: OpCreate, Path: "/s1", Close: true},
+		{Kind: OpSyncAll},
+		{Kind: OpRename, Path: "/s0", Path2: "/s2"},
+		{Kind: OpUnlink, Path: "/s1", Close: true},
+		{Kind: OpSyncAll},
+		{Path: "/s3", Data: []byte("after the barrier")},
+		{Kind: OpSyncAll},
+	}}
+	camp := ServedCampaign{Mode: splitfs.POSIX, TenantOps: ops, Seed: 5}
+	record, err := RunServed(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if record.Violation != "" {
+		t.Fatalf("recording run violated: %s", record.Violation)
+	}
+	fired := 0
+	for ev := record.BaselineEvents + 1; ev <= record.TotalEvents; ev++ {
+		camp.CrashAtEvent = ev
+		res, err := RunServed(camp)
+		if err != nil {
+			t.Fatalf("event %d: %v", ev, err)
+		}
+		if res.Fired {
+			fired++
+		}
+		if res.Violation != "" {
+			t.Errorf("event %d (acked %v): %s", ev, res.AckedSys, res.Violation)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("no event fired the crash")
+	}
+}

@@ -26,12 +26,12 @@ package pmem
 // volatile view to the frozen image.
 //
 // Determinism requirements: the workload must be single-threaded (event
-// numbering is interleaving-dependent), and torn-word injection iterates
-// unpersisted lines in sorted order so one seed always yields one image.
+// numbering is interleaving-dependent), and torn-word injection visits
+// unpersisted lines in ascending address order so one seed always yields
+// one image.
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -217,7 +217,7 @@ func (d *Device) Trace() []Event {
 // bit-identical to recording runs; a subsequent Crash() rewinds to the
 // frozen image. Panics without TrackPersistence.
 func (d *Device) ArmCrash(k int64, rng *sim.RNG) {
-	if d.persisted == nil {
+	if !d.cfg.TrackPersistence {
 		panic("pmem: ArmCrash without TrackPersistence")
 	}
 	d.ev.mu.Lock()
@@ -282,7 +282,7 @@ func (d *Device) event(kind EventKind, cat sim.Category, off, n int64) {
 }
 
 // freeze materializes the crash image at the current instant: torn
-// unfenced words are written into the durable shadow now, and the frozen
+// unfenced words are written into the durable image now, and the frozen
 // flag stops all later persistence. The volatile view is untouched, so
 // the workload keeps executing exactly as in a recording run.
 func (d *Device) freeze(rng *sim.RNG) {
@@ -292,35 +292,33 @@ func (d *Device) freeze(rng *sim.RNG) {
 		return
 	}
 	for i := range d.shards {
-		tearLines(d, &d.shards[i], rng)
+		d.tearLines(i, rng)
 	}
 	d.frozen.Store(true)
 }
 
-// tearLines applies the torn-word crash model to one shard's unpersisted
-// lines, writing surviving words into the durable shadow. Buffered
+// tearLines applies the torn-word crash model to shard si's unpersisted
+// lines, writing surviving words into the durable image. Buffered
 // (journaled-metadata) lines always revert: real jbd2 keeps uncommitted
 // metadata in the DRAM page cache, so it can never reach the media.
-// Lines are visited in sorted order so a given rng seed always produces
-// the same image. Caller holds the shard's lock.
-func tearLines(d *Device, s *shard, rng *sim.RNG) {
-	if rng == nil {
+// Pages, and lines within a page, are visited in ascending order so a
+// given rng seed always produces the same image. Caller holds the
+// shard's lock.
+func (d *Device) tearLines(si int, rng *sim.RNG) {
+	if rng == nil || d.shards[si].nlines == 0 {
 		return
 	}
-	lns := make([]int64, 0, len(s.lines))
-	for ln, st := range s.lines {
-		if st == lineBuffered {
-			continue
-		}
-		lns = append(lns, ln)
-	}
-	sort.Slice(lns, func(i, j int) bool { return lns[i] < lns[j] })
-	for _, ln := range lns {
-		off := ln * sim.CacheLine
-		for w := int64(0); w < sim.CacheLine; w += 8 {
-			if rng.Uint64()&1 == 0 {
-				copy(d.persisted[off+w:off+w+8], d.data[off+w:off+w+8])
+	d.forEachPage(si, func(_ int64, pg *page) {
+		for li, st := range pg.lines {
+			if st == 0 || st == lineBuffered {
+				continue
+			}
+			off := int64(li) * sim.CacheLine
+			for w := off; w < off+sim.CacheLine; w += 8 {
+				if rng.Uint64()&1 == 0 {
+					copy(durable(pg)[w:w+8], pg.data[w:w+8])
+				}
 			}
 		}
-	}
+	})
 }

@@ -15,16 +15,24 @@
 //  3. Wear: per-block write counters and total write IO, used for the
 //     paper's write-amplification comparison with Strata (§2.3, §5.8).
 //
+// The images are sparse: the device is a table of 4 KB pages, each
+// allocated on its first store and holding its volatile bytes, its
+// durable copy and the persistence state of its 64 cache lines. Absent
+// pages read as zero, so the host memory and the whole-device sweeps
+// (Crash, the armed-crash freeze) cost what a run touches, not what the
+// device holds.
+//
 // All methods are safe for concurrent use. The device is sharded: the
-// address space is split into contiguous cache-line-aligned ranges, each
-// with its own lock and line-state map, so goroutines operating on
-// disjoint regions (different files, different staging chunks) never
-// contend (see DESIGN.md, "Shard granularity"). Cumulative counters are
-// atomics; per-block wear counters are atomics too. Operations spanning
-// several shards take the shard locks one at a time in ascending order,
-// so cross-shard tearing of a concurrent overlapping read/write pair is
-// possible — which mirrors real hardware, where only cache-line-sized
-// accesses are ever atomic.
+// address space is split into contiguous page-aligned ranges, each with
+// its own lock and queue of write-pending lines, so goroutines operating
+// on disjoint regions (different files, different staging chunks) never
+// contend (see DESIGN.md, "Shard granularity"). A page belongs to exactly
+// one shard, whose lock guards its allocation and contents. Cumulative
+// counters are atomics; per-block wear counters are atomics too.
+// Operations spanning several shards take the shard locks one at a time
+// in ascending order, so cross-shard tearing of a concurrent overlapping
+// read/write pair is possible — which mirrors real hardware, where only
+// cache-line-sized accesses are ever atomic.
 package pmem
 
 import (
@@ -37,7 +45,7 @@ import (
 )
 
 // lineState tracks where a modified cache line sits in the persistence
-// pipeline.
+// pipeline. The zero value is a clean line.
 type lineState uint8
 
 const (
@@ -56,6 +64,24 @@ const (
 	lineBuffered
 )
 
+const (
+	// pageSize is the allocation unit of the sparse images.
+	pageSize = sim.BlockSize
+	// linesPerPage is the number of cache lines whose state a page keeps.
+	linesPerPage = pageSize / sim.CacheLine
+)
+
+// page is one allocated 4 KB page of the device. The byte arrays are
+// separate allocations of exactly one size class each, holding no
+// pointers, so the garbage collector never scans them.
+type page struct {
+	data *[pageSize]byte // volatile view (what loads observe)
+	// dur is the durable view; nil while every durable byte of the page
+	// is zero, and always nil without TrackPersistence.
+	dur   *[pageSize]byte
+	lines [linesPerPage]lineState
+}
+
 // Config configures a Device.
 type Config struct {
 	// Size is the device capacity in bytes; it is rounded up to a whole
@@ -63,20 +89,22 @@ type Config struct {
 	Size int64
 	// Clock receives all simulated-time charges. Required.
 	Clock *sim.Clock
-	// TrackPersistence maintains a durable shadow copy so Crash() can
-	// rewind to the persisted state. Costs 2x memory; benchmarks that do
-	// not crash can leave it off.
+	// TrackPersistence maintains a durable copy of every page that holds
+	// persisted data, so Crash() can rewind to the persisted state. It
+	// costs up to one extra page per touched page; benchmarks that do not
+	// crash can leave it off.
 	TrackPersistence bool
 	// TrackWear maintains per-4KB-block write counters.
 	TrackWear bool
 	// Shards is the number of independently locked device regions
-	// (default 64). Each shard is a contiguous cache-line-aligned byte
-	// range; operations on disjoint shards proceed concurrently.
+	// (default 64). Each shard is a contiguous page-aligned byte range,
+	// so a device smaller than Shards pages gets fewer shards; operations
+	// on disjoint shards proceed concurrently.
 	Shards int
 }
 
-// defaultShards balances lock granularity against the cost of
-// whole-device sweeps (Fence, Crash), which visit every shard.
+// defaultShards balances lock granularity against the cost of Fence,
+// which checks every shard for pending lines.
 const defaultShards = 64
 
 // Stats are cumulative device counters.
@@ -92,23 +120,29 @@ type Stats struct {
 // BytesWritten is the total write IO issued to the device.
 func (s Stats) BytesWritten() int64 { return s.BytesWrittenNT + s.BytesWrittenCached }
 
-// shard owns one contiguous cache-line-aligned byte range of the device:
-// its slice of data/persisted and the persistence state of its lines.
+// shard owns one contiguous page-aligned byte range of the device: the
+// allocation and contents of its pages, and its share of the
+// write-pending queue.
 type shard struct {
 	// Innermost data lock of the hierarchy; the event sink nests inside
 	// it (crash sweeps hold shard locks while recording).
 	//
 	// +lockrank:order shard < pmevent
-	mu    sync.Mutex // +lockrank:shard
-	lines map[int64]lineState
-	// active is a lock-free hint that lines may be non-empty, so the
-	// device-global sweeps (Fence, UnpersistedLines) skip clean shards
-	// without taking their locks. Set under mu whenever a line is marked;
-	// cleared under mu when the map empties. A store racing a fence was
-	// not ordered before it, so skipping it is exactly sfence semantics.
-	active atomic.Bool
+	mu sync.Mutex // +lockrank:shard
+	// pending lists the lines queued for the next fence. An entry goes
+	// stale when its line is re-claimed as buffered before the fence, so
+	// the fence re-checks each line's state; a line may appear twice.
+	pending []int64
+	nlines  int // lines in a non-clean state
+	npages  int // allocated pages
+	// queued is a lock-free hint that pending may be non-empty, so Fence
+	// skips idle shards without taking their locks. Set under mu whenever
+	// a line is queued; cleared under mu when the fence drains the queue.
+	// A store racing a fence was not ordered before it, so skipping it is
+	// exactly sfence semantics.
+	queued atomic.Bool
 	// Pad shards apart so neighbouring locks never share a cache line.
-	_ [40]byte
+	_ [8]byte
 }
 
 // Device is a simulated PM module.
@@ -116,17 +150,17 @@ type Device struct {
 	cfg   Config
 	clock *sim.Clock
 
-	data      []byte // volatile view (what loads observe)
-	persisted []byte // durable view (nil unless TrackPersistence)
+	size      int64
+	pages     []*page // indexed by offset / pageSize; nil = never stored
 	shards    []shard
-	shardSpan int64           // bytes per shard, a cache-line multiple
+	shardSpan int64           // bytes per shard, a page multiple
 	wear      []atomic.Uint32 // writes per 4 KB block (nil unless TrackWear)
 
 	lastReadEnd atomic.Int64 // for sequential-vs-random latency
 
 	// Persistence-event machinery (event.go). events is the monotone
 	// event counter; frozen means an armed crash point has been reached
-	// and the durable shadow must no longer change. evSrc labels events
+	// and the durable image must no longer change. evSrc labels events
 	// with the execution context that issued them (SetEventSource).
 	events atomic.Int64
 	evKind [evKinds]atomic.Int64
@@ -167,22 +201,14 @@ func New(cfg Config) *Device {
 	}
 	size := (cfg.Size + sim.CacheLine - 1) / sim.CacheLine * sim.CacheLine
 	span := (size + int64(cfg.Shards) - 1) / int64(cfg.Shards)
-	span = (span + sim.CacheLine - 1) / sim.CacheLine * sim.CacheLine
-	if span < sim.CacheLine {
-		span = sim.CacheLine
-	}
+	span = (span + pageSize - 1) / pageSize * pageSize
 	d := &Device{
 		cfg:       cfg,
 		clock:     cfg.Clock,
-		data:      make([]byte, size),
+		size:      size,
+		pages:     make([]*page, (size+pageSize-1)/pageSize),
 		shards:    make([]shard, (size+span-1)/span),
 		shardSpan: span,
-	}
-	for i := range d.shards {
-		d.shards[i].lines = make(map[int64]lineState)
-	}
-	if cfg.TrackPersistence {
-		d.persisted = make([]byte, size)
 	}
 	if cfg.TrackWear {
 		d.wear = make([]atomic.Uint32, (size+sim.BlockSize-1)/sim.BlockSize)
@@ -191,7 +217,7 @@ func New(cfg Config) *Device {
 }
 
 // Size returns the device capacity in bytes.
-func (d *Device) Size() int64 { return int64(len(d.data)) }
+func (d *Device) Size() int64 { return d.size }
 
 // Clock returns the clock this device charges.
 func (d *Device) Clock() *sim.Clock { return d.clock }
@@ -200,16 +226,17 @@ func (d *Device) Clock() *sim.Clock { return d.clock }
 func (d *Device) Shards() int { return len(d.shards) }
 
 func (d *Device) checkRange(off int64, n int) {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
+	if off < 0 || n < 0 || off+int64(n) > d.size {
 		panic(fmt.Sprintf("pmem: access [%d,%d) outside device of %d bytes",
-			off, off+int64(n), len(d.data)))
+			off, off+int64(n), d.size))
 	}
 }
 
 // forShards visits every shard overlapping [off, off+n) in ascending
 // order, holding exactly one shard lock at a time, and calls fn with the
-// byte sub-range [lo, hi) the shard owns. Shard boundaries are cache-line
-// aligned, so each cache line belongs to exactly one shard.
+// byte sub-range [lo, hi) the shard owns. Shard boundaries are page
+// aligned, so each page — and each cache line — belongs to exactly one
+// shard.
 func (d *Device) forShards(off int64, n int64, fn func(s *shard, lo, hi int64)) {
 	end := off + n
 	for si := off / d.shardSpan; si*d.shardSpan < end; si++ {
@@ -224,6 +251,21 @@ func (d *Device) forShards(off int64, n int64, fn func(s *shard, lo, hi int64)) 
 		s.mu.Lock()
 		fn(s, lo, hi)
 		s.mu.Unlock()
+	}
+}
+
+// forPages splits [lo, hi) at page boundaries and calls fn with each
+// page's index and the in-page range [plo, phi). The caller holds the
+// owning shard's lock.
+func forPages(lo, hi int64, fn func(pi, plo, phi int64)) {
+	for lo < hi {
+		pi := lo / pageSize
+		phi := (pi + 1) * pageSize
+		if phi > hi {
+			phi = hi
+		}
+		fn(pi, lo-pi*pageSize, phi-pi*pageSize)
+		lo = phi
 	}
 }
 
@@ -242,6 +284,20 @@ func (d *Device) unlockAll() {
 	}
 }
 
+// load copies the volatile view of [off, off+len(p)) into p.
+func (d *Device) load(p []byte, off int64) {
+	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
+		forPages(lo, hi, func(pi, plo, phi int64) {
+			dst := p[pi*pageSize+plo-off : pi*pageSize+phi-off]
+			if pg := d.pages[pi]; pg != nil {
+				copy(dst, pg.data[plo:phi])
+			} else {
+				clear(dst)
+			}
+		})
+	})
+}
+
 // ReadAt copies device contents into p, charging device read latency plus
 // read-bandwidth time to cat. The latency is sequential (169 ns) when the
 // read continues where the previous one ended, random (305 ns) otherwise.
@@ -254,9 +310,7 @@ func (d *Device) ReadAt(p []byte, off int64, cat sim.Category) {
 	d.lastReadEnd.Store(off + int64(len(p)))
 	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMReadPsPerByte))
 	d.nBytesRead.Add(int64(len(p)))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
-	})
+	d.load(p, off)
 }
 
 // ReadIntoUser copies device contents into a user buffer, charging the
@@ -271,9 +325,7 @@ func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
 	d.lastReadEnd.Store(off + int64(len(p)))
 	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMUserCopyPsPerByte))
 	d.nBytesRead.Add(int64(len(p)))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
-	})
+	d.load(p, off)
 }
 
 // Peek copies device contents into p charging only CPU-cache-speed time.
@@ -283,9 +335,7 @@ func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
 func (d *Device) Peek(p []byte, off int64) {
 	d.checkRange(off, len(p))
 	d.clock.Charge(sim.CatCPU, sim.ChargeBytes(len(p), sim.StorePsPerByte))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
-	})
+	d.load(p, off)
 }
 
 // StoreNT writes p with non-temporal stores: the data bypasses the cache
@@ -328,26 +378,56 @@ func (d *Device) StoreBuffered(off int64, p []byte, cat sim.Category) {
 	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
 }
 
+// write copies p into the volatile view and moves the covered lines to
+// st. An empty p covers no line: it changes no line state and no wear.
 func (d *Device) write(off int64, p []byte, st lineState) {
+	if len(p) == 0 {
+		return
+	}
 	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
-		copy(d.data[lo:hi], p[lo-off:hi-off])
-		first := lo / sim.CacheLine
-		last := (hi - 1) / sim.CacheLine
-		for ln := first; ln <= last; ln++ {
-			// An NT store to a dirty line still leaves the line pending: the
-			// NT data is in the WPQ regardless of prior cached stores. A
-			// buffered store claims the line outright — write-ahead metadata
-			// must never leak to media via an older state — while a plain
-			// dirty store only claims untracked lines.
-			if st != lineDirty || s.lines[ln] == 0 {
-				s.lines[ln] = st
+		forPages(lo, hi, func(pi, plo, phi int64) {
+			pg := d.pages[pi]
+			if pg == nil {
+				pg = &page{data: new([pageSize]byte)}
+				d.pages[pi] = pg
+				s.npages++
 			}
-		}
-		s.active.Store(true)
+			copy(pg.data[plo:phi], p[pi*pageSize+plo-off:pi*pageSize+phi-off])
+			for i := plo / sim.CacheLine; i <= (phi-1)/sim.CacheLine; i++ {
+				// An NT store to a dirty line still leaves the line pending: the
+				// NT data is in the WPQ regardless of prior cached stores. A
+				// buffered store claims the line outright — write-ahead metadata
+				// must never leak to media via an older state — while a plain
+				// dirty store only claims untracked lines.
+				if st != lineDirty || pg.lines[i] == 0 {
+					s.mark(pg, pi*linesPerPage+i, st)
+				}
+			}
+		})
 	})
 	if d.wear != nil {
 		for b := off / sim.BlockSize; b <= (off+int64(len(p))-1)/sim.BlockSize; b++ {
 			d.wear[b].Add(1)
+		}
+	}
+}
+
+// mark moves line ln of pg to st, keeping the shard's line count and
+// write-pending queue in step. Caller holds s.mu.
+func (s *shard) mark(pg *page, ln int64, st lineState) {
+	i := ln % linesPerPage
+	old := pg.lines[i]
+	if old == st {
+		return
+	}
+	if old == 0 {
+		s.nlines++
+	}
+	pg.lines[i] = st
+	if st == linePending {
+		s.pending = append(s.pending, ln)
+		if !s.queued.Load() {
+			s.queued.Store(true)
 		}
 	}
 }
@@ -364,14 +444,18 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 	d.checkRange(off, n)
 	dirty := int64(0)
 	d.forShards(off, int64(n), func(s *shard, lo, hi int64) {
-		first := lo / sim.CacheLine
-		last := (hi - 1) / sim.CacheLine
-		for ln := first; ln <= last; ln++ {
-			if st := s.lines[ln]; st == lineDirty || st == lineBuffered {
-				s.lines[ln] = linePending
-				dirty++
+		forPages(lo, hi, func(pi, plo, phi int64) {
+			pg := d.pages[pi]
+			if pg == nil {
+				return
 			}
-		}
+			for i := plo / sim.CacheLine; i <= (phi-1)/sim.CacheLine; i++ {
+				if st := pg.lines[i]; st == lineDirty || st == lineBuffered {
+					s.mark(pg, pi*linesPerPage+i, linePending)
+					dirty++
+				}
+			}
+		})
 	})
 	d.nFlushes.Add(dirty)
 	d.srcFlushes[d.srcIdx()].Add(dirty)
@@ -380,9 +464,10 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 }
 
 // Fence issues an sfence: every line in the write-pending queue becomes
-// durable. The write-pending queue is device-global, so the fence sweeps
-// every shard — one at a time, so disjoint stores keep flowing while it
-// drains.
+// durable. The write-pending queue is device-global, so the fence drains
+// every shard's queue — one shard at a time, so disjoint stores keep
+// flowing while it drains. It visits only queued lines: dirty and
+// buffered lines, and shards with nothing queued, cost it nothing.
 func (d *Device) Fence() {
 	d.clock.Charge(sim.CatFence, sim.FenceNs)
 	d.nFences.Add(1)
@@ -396,37 +481,61 @@ func (d *Device) Fence() {
 	persisted := int64(0)
 	for i := range d.shards {
 		s := &d.shards[i]
-		if !s.active.Load() {
+		if !s.queued.Load() {
 			continue
 		}
 		s.mu.Lock()
-		for ln, st := range s.lines {
-			if st != linePending {
-				continue
+		for _, ln := range s.pending {
+			pg := d.pages[ln/linesPerPage]
+			li := ln % linesPerPage
+			if pg.lines[li] != linePending {
+				continue // stale: re-claimed as buffered, or a duplicate
 			}
-			d.persistLine(ln)
-			delete(s.lines, ln)
+			d.persistLine(pg, li)
+			pg.lines[li] = 0
+			s.nlines--
 			persisted++
 		}
-		if len(s.lines) == 0 {
-			s.active.Store(false)
-		}
+		s.pending = s.pending[:0]
+		s.queued.Store(false)
 		s.mu.Unlock()
 	}
 	d.nPersisted.Add(persisted)
 	d.event(EvFence, sim.CatFence, 0, 0)
 }
 
-// persistLine copies one cache line from the volatile view to the durable
+// durable returns pg's durable copy, allocating it (all zero) on first
+// use.
+func durable(pg *page) *[pageSize]byte {
+	if pg.dur == nil {
+		pg.dur = new([pageSize]byte)
+	}
+	return pg.dur
+}
+
+// persistLine copies line li of pg from the volatile view to the durable
 // view. A frozen device (armed crash point reached) keeps its durable
 // image fixed: later fences drain the queue but write nothing back.
-// Caller holds the lock of the shard owning the line.
-func (d *Device) persistLine(ln int64) {
-	if d.persisted == nil || d.frozen.Load() {
+// Caller holds the lock of the shard owning the page.
+func (d *Device) persistLine(pg *page, li int64) {
+	if !d.cfg.TrackPersistence || d.frozen.Load() {
 		return
 	}
-	off := ln * sim.CacheLine
-	copy(d.persisted[off:off+sim.CacheLine], d.data[off:off+sim.CacheLine])
+	off := li * sim.CacheLine
+	copy(durable(pg)[off:off+sim.CacheLine], pg.data[off:off+sim.CacheLine])
+}
+
+// forEachPage calls fn for every allocated page of shard si in ascending
+// order. Caller holds the shard's lock.
+func (d *Device) forEachPage(si int, fn func(pi int64, pg *page)) {
+	s := &d.shards[si]
+	seen := 0
+	for pi := int64(si) * d.shardSpan / pageSize; seen < s.npages; pi++ {
+		if pg := d.pages[pi]; pg != nil {
+			seen++
+			fn(pi, pg)
+		}
+	}
 }
 
 // PersistNT is the common StoreNT followed by Fence.
@@ -450,7 +559,7 @@ func (d *Device) Persist(off int64, p []byte, cat sim.Category) {
 //   - If rng is non-nil, each unpersisted 8-byte word independently has a
 //     50% chance of having reached the media, producing torn lines — the
 //     failure mode SplitFS's log-entry checksum must detect. Lines are
-//     visited in sorted order, so one seed yields one image.
+//     visited in ascending order, so one seed yields one image.
 //   - Buffered (write-ahead metadata) lines always revert wholly.
 //
 // If an armed crash point fired (CrashFired), the durable image was
@@ -458,9 +567,12 @@ func (d *Device) Persist(off int64, p []byte, cat sim.Category) {
 // and the volatile view rewinds to the frozen image, which also disarms
 // and unfreezes the device.
 //
-// Returns ErrNoPersistence when the device has no durable shadow.
+// Only allocated pages are visited: a page with no durable copy is
+// dropped (it reads as zero again), the others are rewound to it.
+//
+// Returns ErrNoPersistence when the device has no durable image.
 func (d *Device) Crash(rng *sim.RNG) error {
-	if d.persisted == nil {
+	if !d.cfg.TrackPersistence {
 		return ErrNoPersistence
 	}
 	d.lockAll()
@@ -469,17 +581,28 @@ func (d *Device) Crash(rng *sim.RNG) error {
 	for i := range d.shards {
 		s := &d.shards[i]
 		if !frozen {
-			tearLines(d, s, rng)
+			d.tearLines(i, rng)
 		}
-		s.lines = make(map[int64]lineState)
-		s.active.Store(false)
+		dropped := 0
+		d.forEachPage(i, func(pi int64, pg *page) {
+			if pg.dur == nil {
+				d.pages[pi] = nil
+				dropped++
+				return
+			}
+			*pg.data = *pg.dur
+			pg.lines = [linesPerPage]lineState{}
+		})
+		s.npages -= dropped
+		s.pending = s.pending[:0]
+		s.nlines = 0
+		s.queued.Store(false)
 	}
 	d.frozen.Store(false)
 	d.ev.mu.Lock()
 	d.ev.armedAt, d.ev.rng = 0, nil
 	d.ev.refreshHooks()
 	d.ev.mu.Unlock()
-	copy(d.data, d.persisted)
 	d.lastReadEnd.Store(-1)
 	return nil
 }
@@ -524,11 +647,8 @@ func (d *Device) UnpersistedLines() int {
 	n := 0
 	for i := range d.shards {
 		s := &d.shards[i]
-		if !s.active.Load() {
-			continue
-		}
 		s.mu.Lock()
-		n += len(s.lines)
+		n += s.nlines
 		s.mu.Unlock()
 	}
 	return n

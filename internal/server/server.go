@@ -486,6 +486,10 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	if err != nil {
 		return fmt.Errorf("server: attach read: %w", err)
 	}
+	// A handshake that loses the race with Close gets no reply: the
+	// connection just drops, as it does when Close came first. A refusal
+	// would read as permanent, and a resumable client would give up
+	// instead of reconnecting to the server that replaces this one.
 	var s *Session
 	d := dec{b: payload}
 	switch typ {
@@ -505,8 +509,10 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		}
 		s, err = srv.attach(root, conn, resumable, feats)
 		if err != nil {
-			etyp, eid, ep := encodeError(reqID, err)
-			writeFrame(rwc, etyp, eid, ep)
+			if !errors.Is(err, errServerClosed) {
+				etyp, eid, ep := encodeError(reqID, err)
+				writeFrame(rwc, etyp, eid, ep)
+			}
 			return err
 		}
 		var e enc
@@ -535,7 +541,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		if err != nil {
 			if s != nil {
 				s.disconnect(conn, err) // adopted, handshake write failed: re-park
-			} else {
+			} else if !errors.Is(err, errServerClosed) {
 				etyp, eid, ep := encodeError(reqID, err)
 				writeFrame(rwc, etyp, eid, ep)
 			}

@@ -228,6 +228,13 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 // multi-file fsync of the group-commit benchmark): all files drain
 // through the relink pipeline as one batch, sharing a single journal
 // commit, in deterministic inode order.
+//
+// SyncAll is also the file-system-wide barrier the served stack's
+// resumable sessions rely on: once it returns, every metadata operation
+// that completed before the call is durable. Sync and strict modes
+// commit metadata operations as they happen; in POSIX mode they sit in
+// the running journal transaction, which the relink batch commits only
+// when some open file has staged data, so SyncAll commits it too.
 func (fs *FS) SyncAll() error {
 	fs.mu.RLock()
 	all := make([]*ofile, 0, len(fs.files))
@@ -238,6 +245,11 @@ func (fs *FS) SyncAll() error {
 	sort.Slice(all, func(i, j int) bool { return all[i].ino < all[j].ino })
 	if err := fs.pipeline.groupSync(all); err != nil {
 		return err
+	}
+	if fs.mode == POSIX {
+		if err := fs.kfs.CommitMeta(); err != nil {
+			return err
+		}
 	}
 	fs.dev.Fence()
 	return nil

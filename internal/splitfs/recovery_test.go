@@ -77,3 +77,64 @@ func TestStrictRecoverFromPreFirstWriteCrash(t *testing.T) {
 		t.Fatalf("post-recovery write lost: %q, want %q", got, payload)
 	}
 }
+
+// Regression: in POSIX mode a rename sits in the running journal
+// transaction, and SyncAll with no staged data in any open file used to
+// return without committing it, so a crash after the acknowledged
+// barrier brought the old name back. The served stack's resumable
+// sessions trim their replay logs at that barrier, which turned the lost
+// rename into a permanent divergence after resume.
+func TestPOSIXSyncAllCommitsNamespace(t *testing.T) {
+	clk := sim.NewClock()
+	dev := pmem.New(pmem.Config{Size: 32 << 20, Clock: clk, TrackPersistence: true})
+	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: POSIX, StagingFiles: 2, StagingFileBytes: 1 << 20}
+	fs, err := New(kfs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.OpenFile("/a", vfs.O_RDWR|vfs.O_CREATE, 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename("/a", "/b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unlink("/b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Crash(sim.NewRNG(3)); err != nil {
+		t.Fatal(err)
+	}
+	kfs2, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs2, _, err := RecoverFS(kfs2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/a", "/b"} {
+		if _, err := fs2.Stat(p); err == nil {
+			t.Errorf("%s exists after a crash following SyncAll", p)
+		}
+	}
+	if info, err := fs2.Stat("/d"); err != nil || !info.IsDir {
+		t.Errorf("/d lost after a crash following SyncAll: %v", err)
+	}
+}

@@ -51,7 +51,8 @@ type StackConfig struct {
 	DeviceBytes int64
 	// Mode is the consistency mode (default POSIX).
 	Mode Mode
-	// TrackPersistence enables Crash() on the device (costs 2x memory).
+	// TrackPersistence enables Crash() on the device (costs up to one
+	// extra page per page written).
 	TrackPersistence bool
 	// USplit tunables; zero values take the §3.6 defaults.
 	USplit splitfs.Config
